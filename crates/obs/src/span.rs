@@ -12,7 +12,7 @@
 //! # Model
 //!
 //! * A **trace** is one request's causal tree: exactly one root span
-//!   plus any number of phase children (`accept`, `parse`, `route`,
+//!   plus any number of phase children (`accept`, `parse`,
 //!   `cache_lookup`, `queue_wait`, `coalesce_wait`, `run`,
 //!   `serialize`, `respond`, …).
 //! * A **span** is a named `[start_us, end_us]` interval with string

@@ -123,8 +123,8 @@ impl JobSpec {
         self.scale.refs.saturating_mul(u64::from(self.scale.reps))
     }
 
-    /// The canonical *full-spec* identity, the unit of coalescing,
-    /// caching, and peer routing.
+    /// The canonical *full-spec* identity, the unit of coalescing and
+    /// caching.
     ///
     /// The harness key (`table_4_1/SLC/5MB/MISS`) deliberately omits
     /// scale, seed, observability, and overrides — two submissions with

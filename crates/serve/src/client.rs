@@ -54,8 +54,7 @@ pub fn http_request(
 }
 
 /// Like [`http_request`], with extra request headers — how a caller
-/// identifies itself (`x-client-id`) or a proxying instance marks a
-/// forwarded hop (`x-spur-forwarded`).
+/// identifies itself (`x-client-id`) for per-client fairness.
 pub fn http_request_headers(
     addr: &str,
     method: &str,

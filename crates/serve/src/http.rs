@@ -116,12 +116,20 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
     if headers.iter().any(|(k, _)| k == "transfer-encoding") {
         return Err(ReadError::Malformed("chunked bodies not supported"));
     }
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        None => 0usize,
-        Some((_, v)) => v
+    // Every `content-length` header must agree (RFC 9112 §6.3): a
+    // request whose framing two parsers could read differently is
+    // rejected, not resolved by picking one.
+    let mut content_length: Option<usize> = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v
             .parse::<usize>()
-            .map_err(|_| ReadError::Malformed("bad content-length"))?,
-    };
+            .map_err(|_| ReadError::Malformed("bad content-length"))?;
+        if content_length.is_some_and(|prev| prev != n) {
+            return Err(ReadError::Malformed("conflicting content-length headers"));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(ReadError::TooLarge("request body"));
     }
@@ -209,7 +217,6 @@ pub fn reason_phrase(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
-        502 => "Bad Gateway",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -273,6 +280,24 @@ mod tests {
                 String::from_utf8_lossy(bytes)
             );
         }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed() {
+        // The first header alone would frame this body exactly; the
+        // second disagrees, so the request is ambiguous.
+        let req = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 4\r\n\r\nwork!";
+        assert!(matches!(
+            parse(req),
+            Err(ReadError::Malformed("conflicting content-length headers"))
+        ));
+    }
+
+    #[test]
+    fn identical_duplicate_content_lengths_are_accepted() {
+        let req = parse(b"POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nwork")
+            .unwrap();
+        assert_eq!(req.body, b"work");
     }
 
     #[test]

@@ -10,16 +10,15 @@
 //!
 //! # The serve pipeline
 //!
-//! Submissions flow accept → parse → **route** (consistent-hash the
-//! full-spec identity to a worker shard, or to the owning peer in
-//! multi-instance mode) → **cache lookup** (LRU results cache; a hit
-//! answers without simulating) → **coalesce** (identical in-flight
-//! submissions join the running leader instead of queuing) → the
-//! shard's deficit-round-robin lane for this client. Every job is
-//! deterministic and byte-reproducible, which is what makes the cache
-//! and coalescing *correct*, not merely fast: a cached or coalesced
-//! answer is provably the same bytes a fresh run would produce. See
-//! [`queue::FairQueue`], [`cache::ResultsCache`], [`ring::HashRing`].
+//! Submissions flow accept → parse → **cache lookup** (LRU results
+//! cache keyed by full-spec identity; a hit answers without
+//! simulating) → **coalesce** (identical in-flight submissions join
+//! the running leader instead of queuing) → **fair queue** (this
+//! client's deficit-round-robin lane in the one queue every worker
+//! pops from). Every job is deterministic and byte-reproducible, which
+//! is what makes the cache and coalescing *correct*, not merely fast: a
+//! cached or coalesced answer is provably the same bytes a fresh run
+//! would produce. See [`queue::FairQueue`], [`cache::ResultsCache`].
 //!
 //! # API
 //!
@@ -40,8 +39,9 @@
 //! # Observability
 //!
 //! Every accepted submission carries a span trace from socket accept
-//! to serialized artifact (`accept` → `parse` → `queue_wait` → `run` →
-//! `serialize`, plus the concurrent `respond` write). The span tree is
+//! to serialized artifact (`accept` → `parse` → `cache_lookup` →
+//! `queue_wait` → `run` → `serialize`, plus the concurrent `respond`
+//! write; a follower waits in `coalesce_wait` instead). The span tree is
 //! the single latency source of truth: `/metrics` phase histograms and
 //! SLO evaluation are both derived from sealed traces, never from
 //! side-channel timers. See `docs/OBSERVABILITY.md`.
@@ -64,7 +64,6 @@ pub mod client;
 pub mod http;
 pub mod metrics;
 pub mod queue;
-pub mod ring;
 pub mod scenario;
 pub mod server;
 
@@ -72,9 +71,6 @@ pub use api::{parse_job_spec, JobSpec};
 pub use cache::{CachedResult, ResultsCache};
 pub use client::{get, http_request, http_request_headers, post_json, HttpResponse};
 pub use metrics::{PhaseSample, ServeMetrics};
-pub use queue::{
-    retry_after_secs, Admission, BoundedQueue, FairPushError, FairQueue, Priority, PushError,
-};
-pub use ring::HashRing;
+pub use queue::{retry_after_secs, Admission, FairQueue, Priority, Refusal};
 pub use scenario::MAX_SCENARIO_CELLS;
 pub use server::{ChaosConfig, DrainSummary, ServeConfig, Server};

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! spur-serve [--addr 127.0.0.1:7979] [--workers N] [--queue-bound N]
-//!            [--shards N] [--cache-entries N] [--client-quota N]
-//!            [--peers HOST:PORT,...] [--self-peer HOST:PORT]
+//!            [--cache-entries N] [--client-quota N]
 //!            [--accept-threads N] [--read-timeout-ms N]
 //!            [--write-timeout-ms N] [--max-body-bytes N]
 //!            [--results-dir DIR] [--panic-retries N]
@@ -25,12 +24,9 @@
 //! flags arm deterministic fault injection for soak testing; any
 //! chaos flag implies chaos with the other rates at zero.
 //!
-//! `--peers` declares the full multi-instance membership (comma
-//! separated, every instance gets the same list) and `--self-peer`
-//! names this instance's own entry in it; submissions whose identity
-//! hashes to another peer are proxied there. `--client-quota` caps
-//! queued jobs per client id (0 = unlimited); `--shards` splits the
-//! worker pool into independently-ordered queues.
+//! `--workers` threads all pop from one client-fair queue.
+//! `--client-quota` caps queued jobs per client id (0 = unlimited);
+//! `--cache-entries` sizes the results cache (0 disables it).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -42,8 +38,7 @@ use spur_serve::{ChaosConfig, ServeConfig, Server};
 fn usage() -> ! {
     eprintln!(
         "usage: spur-serve [--addr HOST:PORT] [--workers N] [--queue-bound N]\n\
-         \x20                 [--shards N] [--cache-entries N] [--client-quota N]\n\
-         \x20                 [--peers HOST:PORT,...] [--self-peer HOST:PORT]\n\
+         \x20                 [--cache-entries N] [--client-quota N]\n\
          \x20                 [--accept-threads N] [--read-timeout-ms N]\n\
          \x20                 [--write-timeout-ms N] [--max-body-bytes N]\n\
          \x20                 [--results-dir DIR] [--panic-retries N]\n\
@@ -70,21 +65,12 @@ fn parse_config() -> ServeConfig {
             "--queue-bound" => {
                 cfg.queue_bound = parse_num(&value("--queue-bound"), "--queue-bound")
             }
-            "--shards" => cfg.shards = parse_num(&value("--shards"), "--shards"),
             "--cache-entries" => {
                 cfg.cache_entries = parse_num(&value("--cache-entries"), "--cache-entries")
             }
             "--client-quota" => {
                 cfg.client_quota = parse_num(&value("--client-quota"), "--client-quota")
             }
-            "--peers" => {
-                cfg.peers = value("--peers")
-                    .split(',')
-                    .map(|p| p.trim().to_string())
-                    .filter(|p| !p.is_empty())
-                    .collect()
-            }
-            "--self-peer" => cfg.self_peer = Some(value("--self-peer")),
             "--accept-threads" => {
                 cfg.accept_threads = parse_num(&value("--accept-threads"), "--accept-threads")
             }

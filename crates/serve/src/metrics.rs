@@ -69,8 +69,6 @@ pub struct ServeMetrics {
     /// Submissions shed with 429 because their *client* was over
     /// quota while the queue itself had room.
     pub quota_rejected: AtomicU64,
-    /// Requests forwarded to the owning peer instance.
-    pub jobs_proxied: AtomicU64,
     latency: Mutex<Latency>,
 }
 
@@ -137,7 +135,6 @@ impl ServeMetrics {
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
             quota_rejected: AtomicU64::new(0),
-            jobs_proxied: AtomicU64::new(0),
             latency: Mutex::new(Latency {
                 submit_ms: Histogram::new("submit_ms"),
                 e2e_ms: Histogram::new("e2e_ms"),
@@ -188,14 +185,13 @@ impl ServeMetrics {
     }
 
     /// Renders the Prometheus text exposition. `queue_depth`,
-    /// `draining`, and the shape gauges (`queue_bound`, `shards`,
-    /// `cache_entries`) come from the queue and config;
-    /// `uptime_seconds` from the server's start instant.
+    /// `draining`, and the shape gauges (`queue_bound`, `cache_entries`)
+    /// come from the queue and config; `uptime_seconds` from the
+    /// server's start instant.
     pub fn render_prometheus(
         &self,
         queue_depth: usize,
         queue_bound: usize,
-        shards: usize,
         cache_entries: usize,
         draining: bool,
         uptime_seconds: u64,
@@ -286,12 +282,6 @@ impl ServeMetrics {
             "Submissions shed with 429 because their client was over quota.",
             self.quota_rejected.load(Ordering::Relaxed),
         );
-        render_counter(
-            &mut out,
-            "spur_serve_jobs_proxied_total",
-            "Requests forwarded to the owning peer instance.",
-            self.jobs_proxied.load(Ordering::Relaxed),
-        );
         render_gauge(
             &mut out,
             "spur_serve_queue_depth",
@@ -303,12 +293,6 @@ impl ServeMetrics {
             "spur_serve_queue_bound",
             "Configured queue capacity.",
             queue_bound as u64,
-        );
-        render_gauge(
-            &mut out,
-            "spur_serve_shards",
-            "Configured worker shard count.",
-            shards as u64,
         );
         render_gauge(
             &mut out,
@@ -401,7 +385,7 @@ mod tests {
         m.observe_phases("refbit", sample(2, 40, 1, true));
         m.observe_phases("refbit", sample(3, 60, 1, true));
         m.observe_phases("mp", sample(1, 50, 1, false));
-        let text = m.render_prometheus(2, 16, 4, 128, false, 7);
+        let text = m.render_prometheus(2, 16, 128, false, 7);
         assert!(text.contains("spur_serve_build_info{version=\""));
         assert!(text.contains("spur_serve_uptime_seconds 7\n"));
         assert!(text.contains("spur_serve_http_requests_total 5\n"));
@@ -411,7 +395,6 @@ mod tests {
         assert!(text.contains("spur_serve_jobs_failed_total 1\n"));
         assert!(text.contains("spur_serve_queue_depth 2\n"));
         assert!(text.contains("spur_serve_queue_bound 16\n"));
-        assert!(text.contains("spur_serve_shards 4\n"));
         assert!(text.contains("spur_serve_cache_entries 128\n"));
         assert!(text.contains("spur_serve_draining 0\n"));
         assert!(text.contains("spur_serve_jobs_coalesced_total 0\n"));
@@ -419,7 +402,6 @@ mod tests {
         assert!(text.contains("spur_serve_cache_misses_total 0\n"));
         assert!(text.contains("spur_serve_cache_evictions_total 0\n"));
         assert!(text.contains("spur_serve_quota_rejected_total 0\n"));
-        assert!(text.contains("spur_serve_jobs_proxied_total 0\n"));
         // The acceptance-criteria quantiles survive the span rework.
         assert!(text.contains("spur_serve_job_run_ms{quantile=\"0.5\"}"));
         assert!(text.contains("spur_serve_job_run_ms{quantile=\"0.9\"}"));
@@ -434,7 +416,7 @@ mod tests {
         let m = ServeMetrics::new();
         m.observe_phases("refbit", sample(2, 40, 1, true));
         m.observe_phases("mp", sample(8, 200, 2, true));
-        let text = m.render_prometheus(0, 16, 1, 0, false, 0);
+        let text = m.render_prometheus(0, 16, 0, false, 0);
         assert!(text.contains("spur_serve_phase_ms_count{phase=\"run\",experiment=\"refbit\"} 1\n"));
         assert!(
             text.contains("spur_serve_phase_ms_count{phase=\"queue_wait\",experiment=\"mp\"} 1\n")
@@ -456,7 +438,7 @@ mod tests {
         let m = ServeMetrics::new();
         m.observe_phases("mp", sample(1, 1, 1, true));
         m.observe_phases("events", sample(1, 1, 1, true));
-        let text = m.render_prometheus(0, 16, 1, 0, false, 0);
+        let text = m.render_prometheus(0, 16, 0, false, 0);
         let events_at = text.find("experiment=\"events\"").unwrap();
         let mp_at = text.find("experiment=\"mp\"").unwrap();
         assert!(events_at < mp_at, "rows sort by experiment name");

@@ -1,149 +1,23 @@
-//! The bounded job queues: backpressure by refusal, drain by contract.
+//! The bounded, client-fair job queue: backpressure by refusal, drain
+//! by contract.
 //!
 //! A long-lived service must not buffer unboundedly — when producers
 //! outrun the worker pool the queue fills, and the only honest answers
 //! are "not now" (HTTP 429 upstream) or "not anymore" (draining).
-//! [`BoundedQueue::try_push`] never blocks; [`BoundedQueue::pop`]
-//! blocks until an item arrives or the queue is draining *and* empty,
-//! which is exactly the worker-exit condition a graceful shutdown
-//! needs: every accepted job still runs, no new job sneaks in.
+//! [`FairQueue::try_push`] never blocks; [`FairQueue::pop`] blocks until
+//! an item arrives or the queue is draining *and* empty, which is
+//! exactly the worker-exit condition a graceful shutdown needs: every
+//! accepted job still runs, no new job sneaks in.
 //!
-//! [`FairQueue`] is the sharded successor the serve pipeline routes
-//! into: the same bound/drain contract, but items carry a shard (from
-//! consistent-hashing the job identity), a client id, a [`Priority`],
-//! and a deficit-round-robin cost. Inside each shard every client gets
-//! a *lane*; workers pinned to a shard pull via DRR across lanes, so a
-//! greedy client queues behind its own backlog instead of everyone
+//! Items carry a client id, a [`Priority`], and a deficit-round-robin
+//! cost. Every client gets a *lane*; workers pull via DRR across lanes,
+//! so a greedy client queues behind its own backlog instead of everyone
 //! else's. An optional per-client quota refuses a single client's
-//! excess with [`FairPushError::ClientQuota`] — a 429 that names the
+//! excess with [`Refusal::ClientQuota`] — a 429 that names the
 //! offender — while the global bound still caps the whole queue.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// Why a push was refused.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue is at its bound; the item comes back to the caller.
-    Full(T),
-    /// The queue is draining and accepts nothing new.
-    Draining(T),
-}
-
-struct State<T> {
-    items: VecDeque<T>,
-    draining: bool,
-}
-
-/// A fixed-capacity MPMC queue with explicit drain semantics.
-pub struct BoundedQueue<T> {
-    state: Mutex<State<T>>,
-    available: Condvar,
-    bound: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `bound` items (`bound` is
-    /// clamped to at least 1 — a zero-capacity queue could never
-    /// accept work).
-    pub fn new(bound: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(State {
-                items: VecDeque::new(),
-                draining: false,
-            }),
-            available: Condvar::new(),
-            bound: bound.max(1),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The configured capacity.
-    pub fn bound(&self) -> usize {
-        self.bound
-    }
-
-    /// Items currently queued.
-    pub fn depth(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// Whether the queue has stopped accepting new items.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
-
-    /// Enqueues without blocking. Returns the depth after the push, or
-    /// hands the item back if the queue is full or draining.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut state = self.lock();
-        if state.draining {
-            return Err(PushError::Draining(item));
-        }
-        if state.items.len() >= self.bound {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        let depth = state.items.len();
-        drop(state);
-        self.available.notify_one();
-        Ok(depth)
-    }
-
-    /// Enqueues a batch atomically: either every item is admitted (in
-    /// order) or none is and the whole batch comes back. This is how a
-    /// scenario submission claims slots for its entire matrix — a
-    /// half-admitted matrix could never produce a complete result.
-    /// Returns the depth after the push.
-    pub fn try_push_many(&self, items: Vec<T>) -> Result<usize, PushError<Vec<T>>> {
-        let mut state = self.lock();
-        if state.draining {
-            return Err(PushError::Draining(items));
-        }
-        if state.items.len() + items.len() > self.bound {
-            return Err(PushError::Full(items));
-        }
-        let n = items.len();
-        state.items.extend(items);
-        let depth = state.items.len();
-        drop(state);
-        for _ in 0..n {
-            self.available.notify_one();
-        }
-        Ok(depth)
-    }
-
-    /// Dequeues, blocking until an item is available. Returns `None`
-    /// once the queue is draining and empty — the signal for a worker
-    /// to exit.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.lock();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.draining {
-                return None;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Stops accepting new items and wakes every blocked [`pop`] so
-    /// workers can finish the backlog and exit.
-    ///
-    /// [`pop`]: BoundedQueue::pop
-    pub fn drain(&self) {
-        self.lock().draining = true;
-        self.available.notify_all();
-    }
-}
 
 /// How urgently a submission wants to run, *within its own client's
 /// lane*. Fairness across clients dominates: a high-priority job from
@@ -175,9 +49,9 @@ impl Priority {
     }
 }
 
-/// Why a fair push was refused.
+/// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
-pub enum FairPushError<T> {
+pub enum Refusal<T> {
     /// The queue is at its global bound.
     Full(T),
     /// The queue is draining and accepts nothing new.
@@ -188,12 +62,10 @@ pub enum FairPushError<T> {
     ClientQuota { item: T, queued: usize },
 }
 
-/// One admission into the fair queue: the routed shard, the client it
-/// bills to, its lane priority, and its DRR cost (simulated refs —
-/// see `JobSpec::cost`).
+/// One admission into the fair queue: the client it bills to, its lane
+/// priority, and its DRR cost (simulated refs — see `JobSpec::cost`).
 #[derive(Debug, PartialEq, Eq)]
 pub struct Admission<T> {
-    pub shard: usize,
     pub client: String,
     pub priority: Priority,
     pub cost: u64,
@@ -210,8 +82,7 @@ struct Entry<T> {
     cost: u64,
 }
 
-/// One client's lane inside a shard: three priority FIFOs and a
-/// deficit counter.
+/// One client's lane: three priority FIFOs and a deficit counter.
 struct Lane<T> {
     client: String,
     deficit: u64,
@@ -242,21 +113,23 @@ impl<T> Lane<T> {
     }
 }
 
-struct ShardState<T> {
+struct FairState<T> {
     lanes: Vec<Lane<T>>,
     cursor: usize,
-    depth: usize,
+    total: usize,
+    per_client: HashMap<String, usize>,
+    draining: bool,
 }
 
-impl<T> ShardState<T> {
+impl<T> FairState<T> {
     /// The DRR scan: starting at the cursor, serve the first lane whose
     /// deficit covers its head's cost, then yield the turn (one serve
     /// per visit, so equal-cost clients strictly interleave instead of
     /// bursting a quantum's worth). Lanes that can't afford their head
     /// earn a quantum and yield. Costs are clamped at push time, so
     /// this terminates in at most `MAX_COST_QUANTA` full rotations.
-    fn take(&mut self, quantum: u64) -> Option<(Entry<T>, String)> {
-        if self.depth == 0 {
+    fn take(&mut self, quantum: u64) -> Option<T> {
+        if self.total == 0 {
             return None;
         }
         loop {
@@ -265,10 +138,15 @@ impl<T> ShardState<T> {
             let lane = &mut self.lanes[idx];
             match lane.head_cost() {
                 Some(cost) if lane.deficit >= cost => {
-                    let client = lane.client.clone();
                     let entry = lane.pop_head().expect("head exists");
                     lane.deficit -= cost;
-                    self.depth -= 1;
+                    self.total -= 1;
+                    match self.per_client.get_mut(&lane.client) {
+                        Some(n) if *n > 1 => *n -= 1,
+                        _ => {
+                            self.per_client.remove(&lane.client);
+                        }
+                    }
                     if lane.is_empty() {
                         // An idle client keeps no credit: deficits
                         // only accumulate while waiting in line. The
@@ -283,7 +161,7 @@ impl<T> ShardState<T> {
                     } else {
                         self.cursor %= self.lanes.len();
                     }
-                    return Some((entry, client));
+                    return Some(entry.item);
                 }
                 Some(_) => {
                     lane.deficit += quantum;
@@ -301,58 +179,52 @@ impl<T> ShardState<T> {
         }
     }
 
-    fn lane_mut(&mut self, client: &str) -> &mut Lane<T> {
-        if let Some(i) = self.lanes.iter().position(|l| l.client == client) {
-            return &mut self.lanes[i];
-        }
-        self.lanes.push(Lane::new(client.to_string()));
-        self.lanes.last_mut().expect("just pushed")
+    /// Appends one admission (cost already clamped) to its client's
+    /// lane, creating the lane on first use.
+    fn enqueue(&mut self, adm: Admission<T>, cost: u64) {
+        *self.per_client.entry(adm.client.clone()).or_insert(0) += 1;
+        self.total += 1;
+        let lane = match self.lanes.iter().position(|l| l.client == adm.client) {
+            Some(i) => &mut self.lanes[i],
+            None => {
+                self.lanes.push(Lane::new(adm.client));
+                self.lanes.last_mut().expect("just pushed")
+            }
+        };
+        lane.by_priority[adm.priority.lane()].push_back(Entry {
+            item: adm.item,
+            cost,
+        });
     }
 }
 
-struct FairState<T> {
-    shards: Vec<ShardState<T>>,
-    total: usize,
-    per_client: HashMap<String, usize>,
-    draining: bool,
-}
-
-/// A sharded, client-fair, priority-aware bounded queue.
+/// A client-fair, priority-aware bounded queue.
 ///
-/// The global `bound` caps total queued items (all shards together);
-/// `client_quota` (0 = unlimited) caps any one client's share of it.
-/// Workers pin to a shard and call [`pop`](FairQueue::pop) with it;
-/// each shard has its own condvar so a push only wakes workers that
-/// can actually serve it.
+/// The global `bound` caps total queued items; `client_quota`
+/// (0 = unlimited) caps any one client's share of it. Every worker
+/// calls [`pop`](FairQueue::pop) on the same queue.
 pub struct FairQueue<T> {
     state: Mutex<FairState<T>>,
-    available: Vec<Condvar>,
+    available: Condvar,
     bound: usize,
     client_quota: usize,
     quantum: u64,
 }
 
 impl<T> FairQueue<T> {
-    /// Creates a queue with `shards` worker shards (clamped ≥ 1),
-    /// holding at most `bound` items total (clamped ≥ 1). `quantum`
-    /// is the DRR refill per lane per rotation, in the same unit as
-    /// admission costs (simulated refs).
-    pub fn new(shards: usize, bound: usize, client_quota: usize, quantum: u64) -> Self {
-        let shards = shards.max(1);
+    /// Creates a queue holding at most `bound` items (clamped ≥ 1).
+    /// `quantum` is the DRR refill per lane per rotation, in the same
+    /// unit as admission costs (simulated refs).
+    pub fn new(bound: usize, client_quota: usize, quantum: u64) -> Self {
         FairQueue {
             state: Mutex::new(FairState {
-                shards: (0..shards)
-                    .map(|_| ShardState {
-                        lanes: Vec::new(),
-                        cursor: 0,
-                        depth: 0,
-                    })
-                    .collect(),
+                lanes: Vec::new(),
+                cursor: 0,
                 total: 0,
                 per_client: HashMap::new(),
                 draining: false,
             }),
-            available: (0..shards).map(|_| Condvar::new()).collect(),
+            available: Condvar::new(),
             bound: bound.max(1),
             client_quota,
             quantum: quantum.max(1),
@@ -368,17 +240,12 @@ impl<T> FairQueue<T> {
         self.bound
     }
 
-    /// The number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.available.len()
-    }
-
     /// The per-client quota (0 = unlimited).
     pub fn client_quota(&self) -> usize {
         self.client_quota
     }
 
-    /// Items currently queued across all shards.
+    /// Items currently queued.
     pub fn depth(&self) -> usize {
         self.lock().total
     }
@@ -399,50 +266,41 @@ impl<T> FairQueue<T> {
 
     /// Enqueues without blocking. Returns the total depth after the
     /// push, or hands the admission back with the refusal reason.
-    pub fn try_push(&self, adm: Admission<T>) -> Result<usize, FairPushError<Admission<T>>> {
-        let shard_idx = adm.shard % self.shard_count();
+    pub fn try_push(&self, adm: Admission<T>) -> Result<usize, Refusal<Admission<T>>> {
         let mut state = self.lock();
         if state.draining {
-            return Err(FairPushError::Draining(adm));
+            return Err(Refusal::Draining(adm));
         }
         if state.total >= self.bound {
-            return Err(FairPushError::Full(adm));
+            return Err(Refusal::Full(adm));
         }
         let queued = state.per_client.get(&adm.client).copied().unwrap_or(0);
         if self.client_quota > 0 && queued >= self.client_quota {
-            return Err(FairPushError::ClientQuota { item: adm, queued });
+            return Err(Refusal::ClientQuota { item: adm, queued });
         }
         let cost = self.clamp_cost(adm.cost);
-        *state.per_client.entry(adm.client.clone()).or_insert(0) += 1;
-        state.total += 1;
-        let shard = &mut state.shards[shard_idx];
-        shard.depth += 1;
-        shard.lane_mut(&adm.client).by_priority[adm.priority.lane()].push_back(Entry {
-            item: adm.item,
-            cost,
-        });
+        state.enqueue(adm, cost);
         let depth = state.total;
         drop(state);
-        self.available[shard_idx].notify_one();
+        self.available.notify_one();
         Ok(depth)
     }
 
     /// Enqueues a batch atomically: either every admission lands (in
-    /// order, possibly across different shards) or none does and the
-    /// whole batch comes back — the scenario matrix's all-or-nothing
-    /// contract, preserved across sharding. Quotas are checked against
-    /// the batch's own tallies too: a 10-cell scenario from a client
-    /// with 4 quota slots left is refused whole.
+    /// order) or none does and the whole batch comes back — the
+    /// scenario matrix's all-or-nothing contract. Quotas are checked
+    /// against the batch's own tallies too: a 10-cell scenario from a
+    /// client with 4 quota slots left is refused whole.
     pub fn try_push_many(
         &self,
         admissions: Vec<Admission<T>>,
-    ) -> Result<usize, FairPushError<Vec<Admission<T>>>> {
+    ) -> Result<usize, Refusal<Vec<Admission<T>>>> {
         let mut state = self.lock();
         if state.draining {
-            return Err(FairPushError::Draining(admissions));
+            return Err(Refusal::Draining(admissions));
         }
         if state.total + admissions.len() > self.bound {
-            return Err(FairPushError::Full(admissions));
+            return Err(Refusal::Full(admissions));
         }
         if self.client_quota > 0 {
             let mut tally: HashMap<&str, usize> = HashMap::new();
@@ -452,71 +310,51 @@ impl<T> FairQueue<T> {
             for (client, extra) in tally {
                 let queued = state.per_client.get(client).copied().unwrap_or(0);
                 if queued + extra > self.client_quota {
-                    return Err(FairPushError::ClientQuota {
+                    return Err(Refusal::ClientQuota {
                         item: admissions,
                         queued,
                     });
                 }
             }
         }
-        let mut notified: Vec<usize> = vec![0; self.shard_count()];
+        let n = admissions.len();
         for adm in admissions {
-            let shard_idx = adm.shard % self.shard_count();
             let cost = self.clamp_cost(adm.cost);
-            *state.per_client.entry(adm.client.clone()).or_insert(0) += 1;
-            state.total += 1;
-            let shard = &mut state.shards[shard_idx];
-            shard.depth += 1;
-            shard.lane_mut(&adm.client).by_priority[adm.priority.lane()].push_back(Entry {
-                item: adm.item,
-                cost,
-            });
-            notified[shard_idx] += 1;
+            state.enqueue(adm, cost);
         }
         let depth = state.total;
         drop(state);
-        for (shard_idx, n) in notified.into_iter().enumerate() {
-            for _ in 0..n {
-                self.available[shard_idx].notify_one();
-            }
+        for _ in 0..n {
+            self.available.notify_one();
         }
         Ok(depth)
     }
 
-    /// Dequeues from one shard, blocking until an item is available
-    /// there. Returns `None` once the queue is draining and the shard
-    /// is empty — the pinned worker's exit condition.
-    pub fn pop(&self, shard: usize) -> Option<T> {
-        let shard_idx = shard % self.shard_count();
+    /// Dequeues, blocking until an item is available. Returns `None`
+    /// once the queue is draining and empty — the signal for a worker
+    /// to exit.
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.lock();
         loop {
-            if let Some((entry, client)) = state.shards[shard_idx].take(self.quantum) {
-                state.total -= 1;
-                match state.per_client.get_mut(&client) {
-                    Some(n) if *n > 1 => *n -= 1,
-                    _ => {
-                        state.per_client.remove(&client);
-                    }
-                }
-                return Some(entry.item);
+            if let Some(item) = state.take(self.quantum) {
+                return Some(item);
             }
             if state.draining {
                 return None;
             }
-            state = self.available[shard_idx]
+            state = self
+                .available
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
         }
     }
 
     /// Stops accepting new items and wakes every blocked
-    /// [`pop`](FairQueue::pop) so pinned workers can finish their
-    /// shard's backlog and exit.
+    /// [`pop`](FairQueue::pop) so workers can finish the backlog and
+    /// exit.
     pub fn drain(&self) {
         self.lock().draining = true;
-        for cv in &self.available {
-            cv.notify_all();
-        }
+        self.available.notify_all();
     }
 }
 
@@ -548,73 +386,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    #[test]
-    fn push_til_full_then_shed() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Ok(2));
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(4), Ok(2));
-    }
-
-    #[test]
-    fn drain_refuses_new_work_and_releases_poppers() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        q.try_push(7).unwrap();
-        q.drain();
-        assert_eq!(q.try_push(8), Err(PushError::Draining(8)));
-        // The backlog still drains...
-        assert_eq!(q.pop(), Some(7));
-        // ...and an empty draining queue releases immediately.
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn blocked_pop_wakes_on_drain() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        let waiter = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        };
-        // Give the waiter time to block, then drain: it must return None.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.drain();
-        assert_eq!(waiter.join().unwrap(), None);
-    }
-
-    #[test]
-    fn batch_push_is_all_or_nothing() {
-        let q = BoundedQueue::new(3);
-        q.try_push(1).unwrap();
-        // Three more would overflow: the whole batch bounces back.
-        assert_eq!(
-            q.try_push_many(vec![2, 3, 4]),
-            Err(PushError::Full(vec![2, 3, 4]))
-        );
-        assert_eq!(q.depth(), 1);
-        // Two fit exactly, in order.
-        assert_eq!(q.try_push_many(vec![2, 3]), Ok(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        // Draining refuses batches wholesale.
-        q.drain();
-        assert_eq!(q.try_push_many(vec![9]), Err(PushError::Draining(vec![9])));
-    }
-
-    #[test]
-    fn zero_bound_is_clamped() {
-        let q = BoundedQueue::new(0);
-        assert_eq!(q.bound(), 1);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Err(PushError::Full(2)));
-    }
-
     fn adm(client: &str, item: u32) -> Admission<u32> {
         Admission {
-            shard: 0,
             client: client.into(),
             priority: Priority::Normal,
             cost: 1,
@@ -624,13 +397,13 @@ mod tests {
 
     #[test]
     fn fair_single_client_is_fifo() {
-        let q = FairQueue::new(1, 8, 0, 100);
+        let q = FairQueue::new(8, 0, 100);
         for i in 0..4 {
             q.try_push(adm("a", i)).unwrap();
         }
         assert_eq!(q.depth(), 4);
         for i in 0..4 {
-            assert_eq!(q.pop(0), Some(i));
+            assert_eq!(q.pop(), Some(i));
         }
         assert_eq!(q.depth(), 0);
         assert_eq!(q.client_depth("a"), 0);
@@ -638,7 +411,7 @@ mod tests {
 
     #[test]
     fn priority_orders_within_a_client_lane() {
-        let q = FairQueue::new(1, 8, 0, 100);
+        let q = FairQueue::new(8, 0, 100);
         q.try_push(Admission {
             priority: Priority::Low,
             ..adm("a", 1)
@@ -654,21 +427,21 @@ mod tests {
             ..adm("a", 3)
         })
         .unwrap();
-        assert_eq!(q.pop(0), Some(3));
-        assert_eq!(q.pop(0), Some(2));
-        assert_eq!(q.pop(0), Some(1));
+        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(1));
     }
 
     #[test]
     fn drr_interleaves_a_greedy_backlog_with_a_polite_client() {
-        let q = FairQueue::new(1, 32, 0, 100);
+        let q = FairQueue::new(32, 0, 100);
         // Greedy floods 10 items before polite submits 2; equal costs.
         for i in 0..10 {
             q.try_push(adm("greedy", i)).unwrap();
         }
         q.try_push(adm("polite", 100)).unwrap();
         q.try_push(adm("polite", 101)).unwrap();
-        let order: Vec<u32> = (0..12).map(|_| q.pop(0).unwrap()).collect();
+        let order: Vec<u32> = (0..12).map(|_| q.pop().unwrap()).collect();
         // Round-robin at equal cost: polite's items surface within the
         // first few pops instead of queuing behind greedy's backlog.
         let p0 = order.iter().position(|&x| x == 100).unwrap();
@@ -679,7 +452,7 @@ mod tests {
 
     #[test]
     fn drr_bills_big_jobs_proportionally() {
-        let q = FairQueue::new(1, 32, 0, 100);
+        let q = FairQueue::new(32, 0, 100);
         // Greedy's items each cost 3 quanta; polite's cost a fraction
         // of one. Greedy gets one serving per ~3 rotations while
         // polite drains every rotation.
@@ -697,7 +470,7 @@ mod tests {
             })
             .unwrap();
         }
-        let order: Vec<u32> = (0..6).map(|_| q.pop(0).unwrap()).collect();
+        let order: Vec<u32> = (0..6).map(|_| q.pop().unwrap()).collect();
         let last_polite = order.iter().rposition(|&x| x >= 100).unwrap();
         let first_greedy = order.iter().position(|&x| x < 100).unwrap();
         assert!(
@@ -708,11 +481,11 @@ mod tests {
 
     #[test]
     fn client_quota_refuses_only_the_offender() {
-        let q = FairQueue::new(1, 8, 2, 100);
+        let q = FairQueue::new(8, 2, 100);
         q.try_push(adm("greedy", 1)).unwrap();
         q.try_push(adm("greedy", 2)).unwrap();
         match q.try_push(adm("greedy", 3)) {
-            Err(FairPushError::ClientQuota { queued, .. }) => assert_eq!(queued, 2),
+            Err(Refusal::ClientQuota { queued, .. }) => assert_eq!(queued, 2),
             other => panic!("expected ClientQuota, got {other:?}"),
         }
         // The queue itself has room: another client sails through.
@@ -721,105 +494,77 @@ mod tests {
         assert_eq!(q.client_depth("greedy"), 2);
         assert_eq!(q.client_depth("polite"), 1);
         // Draining the offender frees its quota.
-        q.pop(0);
+        q.pop();
         q.try_push(adm("greedy", 5)).unwrap();
     }
 
     #[test]
     fn fair_global_bound_and_drain() {
-        let q = FairQueue::new(2, 2, 0, 100);
+        let q = FairQueue::new(2, 0, 100);
         q.try_push(adm("a", 1)).unwrap();
-        q.try_push(Admission {
-            shard: 1,
-            ..adm("b", 2)
-        })
-        .unwrap();
-        assert!(matches!(
-            q.try_push(adm("c", 3)),
-            Err(FairPushError::Full(_))
-        ));
+        q.try_push(adm("b", 2)).unwrap();
+        assert!(matches!(q.try_push(adm("c", 3)), Err(Refusal::Full(_))));
         q.drain();
-        assert!(matches!(
-            q.try_push(adm("c", 3)),
-            Err(FairPushError::Draining(_))
-        ));
-        // Backlogs still drain per shard, then pinned pops release.
-        assert_eq!(q.pop(0), Some(1));
-        assert_eq!(q.pop(0), None);
-        assert_eq!(q.pop(1), Some(2));
-        assert_eq!(q.pop(1), None);
+        assert!(matches!(q.try_push(adm("c", 3)), Err(Refusal::Draining(_))));
+        // The backlog still drains, then an empty draining queue
+        // releases its poppers.
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn fair_batch_push_is_all_or_nothing_across_shards() {
-        let q = FairQueue::new(2, 3, 0, 100);
+    fn fair_batch_push_is_all_or_nothing() {
+        let q = FairQueue::new(3, 0, 100);
         q.try_push(adm("a", 1)).unwrap();
-        let batch = vec![
-            Admission {
-                shard: 0,
-                ..adm("b", 2)
-            },
-            Admission {
-                shard: 1,
-                ..adm("b", 3)
-            },
-            Admission {
-                shard: 1,
-                ..adm("b", 4)
-            },
-        ];
         // Three more would overflow the global bound of 3.
+        let batch = vec![adm("b", 2), adm("b", 3), adm("b", 4)];
         assert!(matches!(
             q.try_push_many(batch),
-            Err(FairPushError::Full(v)) if v.len() == 3
+            Err(Refusal::Full(v)) if v.len() == 3
         ));
         assert_eq!(q.depth(), 1);
-        let batch = vec![
-            Admission {
-                shard: 0,
-                ..adm("b", 2)
-            },
-            Admission {
-                shard: 1,
-                ..adm("b", 3)
-            },
-        ];
-        assert_eq!(q.try_push_many(batch), Ok(3));
-        assert_eq!(q.pop(1), Some(3));
+        // Two fit exactly, in order within their lane.
+        assert_eq!(q.try_push_many(vec![adm("b", 2), adm("b", 3)]), Ok(3));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(3));
+        // Draining refuses batches wholesale.
+        q.drain();
+        assert!(matches!(
+            q.try_push_many(vec![adm("b", 9)]),
+            Err(Refusal::Draining(v)) if v.len() == 1
+        ));
     }
 
     #[test]
     fn fair_batch_quota_counts_the_whole_batch() {
-        let q = FairQueue::new(1, 16, 3, 100);
+        let q = FairQueue::new(16, 3, 100);
         q.try_push(adm("a", 1)).unwrap();
         q.try_push(adm("a", 2)).unwrap();
         // Two more would put "a" at 4 > quota 3: refused whole.
         let batch = vec![adm("a", 3), adm("a", 4)];
         assert!(matches!(
             q.try_push_many(batch),
-            Err(FairPushError::ClientQuota { queued: 2, .. })
+            Err(Refusal::ClientQuota { queued: 2, .. })
         ));
         assert_eq!(q.depth(), 2);
     }
 
     #[test]
     fn blocked_fair_pop_wakes_on_push_and_on_drain() {
-        let q: Arc<FairQueue<u32>> = Arc::new(FairQueue::new(2, 8, 0, 100));
+        let q: Arc<FairQueue<u32>> = Arc::new(FairQueue::new(8, 0, 100));
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop(1))
+            std::thread::spawn(move || q.pop())
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.try_push(Admission {
-            shard: 1,
-            ..adm("a", 7)
-        })
-        .unwrap();
+        q.try_push(adm("a", 7)).unwrap();
         assert_eq!(waiter.join().unwrap(), Some(7));
 
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop(0))
+            std::thread::spawn(move || q.pop())
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.drain();
@@ -828,7 +573,7 @@ mod tests {
 
     #[test]
     fn oversized_costs_are_clamped_so_pops_terminate() {
-        let q = FairQueue::new(1, 4, 0, 10);
+        let q = FairQueue::new(4, 0, 10);
         // Cost astronomically above quantum * MAX_COST_QUANTA: without
         // the clamp the DRR scan would spin for u64::MAX/10 rotations.
         q.try_push(Admission {
@@ -836,7 +581,7 @@ mod tests {
             ..adm("a", 1)
         })
         .unwrap();
-        assert_eq!(q.pop(0), Some(1));
+        assert_eq!(q.pop(), Some(1));
     }
 
     #[test]

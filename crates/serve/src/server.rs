@@ -1,24 +1,23 @@
-//! The daemon: accept pool, sharded worker pool, routing, coalescing,
-//! the results cache, and drain-then-exit.
+//! The daemon: accept pool, worker pool, coalescing, the results
+//! cache, and drain-then-exit.
 //!
 //! Two thread families share one [`Shared`] state. *Acceptors* block in
 //! `accept()` on a cloned listener, parse one request per connection,
-//! and answer; *workers* pin to a shard of the [`FairQueue`] and
-//! execute jobs with [`run_one`] — the exact per-job body the batch
-//! harness uses, so a served job's artifact is byte-identical to a
-//! sweep's.
+//! and answer; *workers* all pop from one [`FairQueue`] and execute
+//! jobs with [`run_one`] — the exact per-job body the batch harness
+//! uses, so a served job's artifact is byte-identical to a sweep's.
 //!
 //! A submission's path after parse is a fixed pipeline:
-//! **route** (hash the full-spec identity to a worker shard — or, in
-//! multi-instance mode, to the owning peer, proxying if that isn't
-//! us), **cache lookup** (a previously computed artifact answers
+//! **cache lookup** (a previously computed artifact answers
 //! immediately; determinism makes that answer byte-exact, not
 //! approximate), **coalesce** (an identical in-flight submission joins
 //! the running leader as a *follower* and receives the leader's bytes
-//! when it lands), and finally the shard's per-client
-//! deficit-round-robin lane. Every stage is a span phase (`route`,
-//! `cache_lookup`, `coalesce_wait`), so `/v1/jobs/{id}/trace` still
-//! reconciles with root wall time.
+//! when it lands), and finally the client's deficit-round-robin lane in
+//! the fair queue. The cache and the in-flight map are global, so one
+//! identity has at most one leader no matter how many workers run.
+//! Every stage is a span phase (`cache_lookup`, `coalesce_wait`,
+//! `queue_wait`), so `/v1/jobs/{id}/trace` still reconciles with root
+//! wall time.
 //!
 //! Every accepted submission carries a [`SpanContext`] from the moment
 //! its socket was read: the acceptor opens the trace and its `accept`
@@ -55,8 +54,7 @@ use crate::api::{parse_job_spec, JobSpec};
 use crate::cache::{CachedResult, ResultsCache};
 use crate::http::{read_request, write_response, ReadError, Request, Response};
 use crate::metrics::{PhaseSample, ServeMetrics};
-use crate::queue::{retry_after_secs, Admission, FairPushError, FairQueue, Priority};
-use crate::ring::HashRing;
+use crate::queue::{retry_after_secs, Admission, FairQueue, Priority, Refusal};
 use crate::scenario::{build_scenario_cell, evaluate_finished, parse_scenario_submission};
 use spur_scenario::Verdict;
 
@@ -65,13 +63,6 @@ use spur_scenario::Verdict;
 /// `trace_capacity` events), so only the most recent few are kept; the
 /// *span* trees are small and keep their own, much larger ring.
 const SIM_TRACE_RETAIN: usize = 32;
-
-/// Job/scenario id stride between instances: instance *k* of a
-/// multi-instance deployment numbers its jobs from `k * ID_STRIDE`, so
-/// any instance can tell from a bare id which peer owns its records
-/// (and proxy the poll there). A single instance runs out of ids after
-/// a billion jobs — a non-problem for a simulator service.
-const ID_STRIDE: u64 = 1_000_000_000;
 
 /// DRR refill per client lane per rotation, in units of
 /// `JobSpec::cost` (simulated refs). One quantum ≈ one quick-scale
@@ -127,10 +118,6 @@ pub struct ServeConfig {
     pub slo_window: Duration,
     /// Completed span traces retained for `GET /v1/jobs/{id}/trace`.
     pub trace_capacity: usize,
-    /// Worker shards. Workers pin round-robin to shards; submissions
-    /// route to a shard by hashing their full-spec identity, so
-    /// identical jobs always land (and coalesce) on the same shard.
-    pub shards: usize,
     /// Results-cache capacity in entries (LRU by full-spec identity).
     /// Zero disables caching.
     pub cache_entries: usize,
@@ -138,14 +125,6 @@ pub struct ServeConfig {
     /// quota is shed with 429 + its own Retry-After while the queue
     /// keeps serving everyone else.
     pub client_quota: usize,
-    /// Multi-instance membership: every instance's address, identical
-    /// on every instance (order-insensitive). Empty = single instance.
-    /// When set, `self_peer` must name this instance's own entry;
-    /// submissions whose identity hashes to another peer are proxied
-    /// there, keeping the cache key-partitioned.
-    pub peers: Vec<String>,
-    /// This instance's entry in `peers`.
-    pub self_peer: Option<String>,
 }
 
 /// Seeded fault-injection knobs, all decided deterministically from
@@ -181,11 +160,8 @@ impl Default for ServeConfig {
             slos: Vec::new(),
             slo_window: Duration::from_secs(60),
             trace_capacity: SpanSink::DEFAULT_CAPACITY,
-            shards: 1,
             cache_entries: 128,
             client_quota: 0,
-            peers: Vec::new(),
-            self_peer: None,
         }
     }
 }
@@ -303,12 +279,6 @@ struct Shared {
     /// Cache + inflight coalescing state (see [`Dedup`]). Lock order:
     /// `dedup` before `jobs`; never taken while holding `jobs`.
     dedup: Mutex<Dedup>,
-    /// Consistent-hash ring over `cfg.peers`, present in
-    /// multi-instance mode.
-    ring: Option<HashRing>,
-    /// This instance's index into the (sorted) peer list — the id
-    /// namespace selector.
-    instance_index: usize,
     /// Worker-completion timestamps (span clock, µs) feeding the
     /// drain-rate estimate behind `Retry-After`. Only actual runs
     /// count: followers and cache hits consume no worker time.
@@ -373,31 +343,6 @@ impl Server {
     /// Binds, then spawns the worker, acceptor, and (with SLOs
     /// declared) ticker threads.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
-        // Multi-instance membership must be self-consistent before we
-        // bind anything: an instance that isn't in its own peer list
-        // would proxy every request somewhere else forever.
-        let (ring, instance_index) = if cfg.peers.is_empty() {
-            (None, 0)
-        } else {
-            let Some(self_peer) = &cfg.self_peer else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "peers configured without self_peer",
-                ));
-            };
-            // Sort so every instance numbers the same peer list the
-            // same way regardless of flag order.
-            let mut peers = cfg.peers.clone();
-            peers.sort();
-            peers.dedup();
-            let Some(idx) = peers.iter().position(|p| p == self_peer) else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("self_peer {self_peer:?} is not in the peer list {peers:?}"),
-                ));
-            };
-            (Some(HashRing::new(&peers)), idx)
-        };
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let fault_plan = cfg
@@ -408,31 +353,16 @@ impl Server {
             .then(|| SloTracker::new(cfg.slos.clone(), cfg.slo_window.as_micros() as u64));
         let spans = SpanSink::new(cfg.trace_capacity);
         let shared = Arc::new(Shared {
-            // A shard with no pinned worker would strand its jobs, so
-            // the effective shard count never exceeds the worker pool
-            // (zero-worker test configs keep their shards: nothing
-            // runs anyway).
-            queue: FairQueue::new(
-                if cfg.workers == 0 {
-                    cfg.shards
-                } else {
-                    cfg.shards.min(cfg.workers)
-                },
-                cfg.queue_bound,
-                cfg.client_quota,
-                DRR_QUANTUM,
-            ),
+            queue: FairQueue::new(cfg.queue_bound, cfg.client_quota, DRR_QUANTUM),
             jobs: Mutex::new(HashMap::new()),
             scenarios: Mutex::new(HashMap::new()),
             dedup: Mutex::new(Dedup {
                 cache: ResultsCache::new(cfg.cache_entries),
                 inflight: HashMap::new(),
             }),
-            ring,
-            instance_index,
             completions: Mutex::new(VecDeque::new()),
-            next_id: AtomicU64::new(instance_index as u64 * ID_STRIDE),
-            next_scenario_id: AtomicU64::new(instance_index as u64 * ID_STRIDE),
+            next_id: AtomicU64::new(0),
+            next_scenario_id: AtomicU64::new(0),
             metrics: ServeMetrics::new(),
             stop_accepting: AtomicBool::new(false),
             local_addr,
@@ -448,12 +378,10 @@ impl Server {
             cfg,
         });
 
-        let shard_count = shared.queue.shard_count();
         let workers = (0..shared.cfg.workers)
-            .map(|i| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                let shard = i % shard_count;
-                std::thread::spawn(move || worker_loop(&shared, shard))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         let acceptors = (0..shared.cfg.accept_threads.max(1))
@@ -564,8 +492,8 @@ fn rebuild_job(queued: &QueuedJob) -> Job<()> {
     })
 }
 
-fn worker_loop(shared: &Shared, shard: usize) {
-    while let Some(queued) = shared.queue.pop(shard) {
+fn worker_loop(shared: &Shared) {
+    while let Some(queued) = shared.queue.pop() {
         let picked_us = shared.spans.now_us();
         shared.spans.end_span(queued.queue_span, Some(picked_us));
         if let Some(record) = lock_unpoisoned(&shared.jobs).get_mut(&queued.id) {
@@ -837,7 +765,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     }
     // Chaos: drop the connection without answering. All server-side
     // effects of the request (queueing, records, spans, metrics) are
-    // already committed — exactly the window a crashed proxy would
+    // already committed — exactly the window a lost connection would
     // expose. A dropped 202 records no `respond` span and no submit
     // latency: the client never saw an answer, so there is nothing to
     // attribute.
@@ -895,73 +823,19 @@ fn route(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &str
         ) => error_response(405, "method not allowed").into(),
         ("GET", path) if path.starts_with("/v1/scenarios/") => {
             match path["/v1/scenarios/".len()..].parse::<u64>() {
-                Ok(id) => match foreign_owner(shared, request, id) {
-                    Some(peer) => proxy_get(shared, &peer, path).into(),
-                    None => scenario_status(shared, id).into(),
-                },
+                Ok(id) => scenario_status(shared, id).into(),
                 Err(_) => error_response(404, "no such route").into(),
             }
         }
         ("GET", path) => match parse_job_path(path) {
-            Some((id, kind)) => {
-                // A job id names its owning instance via the id
-                // stride: polls that land on the wrong peer are
-                // proxied to the one holding the record.
-                if let Some(peer) = foreign_owner(shared, request, id) {
-                    return proxy_get(shared, &peer, path).into();
-                }
-                match kind {
-                    JobRoute::Status => job_status(shared, id).into(),
-                    JobRoute::Result => job_result(shared, id).into(),
-                    JobRoute::Trace => job_trace(shared, id).into(),
-                    JobRoute::TraceChrome => job_trace_chrome(shared, id).into(),
-                }
-            }
+            Some((id, JobRoute::Status)) => job_status(shared, id).into(),
+            Some((id, JobRoute::Result)) => job_result(shared, id).into(),
+            Some((id, JobRoute::Trace)) => job_trace(shared, id).into(),
+            Some((id, JobRoute::TraceChrome)) => job_trace_chrome(shared, id).into(),
             None => error_response(404, "no such route").into(),
         },
         _ => error_response(404, "no such route").into(),
     }
-}
-
-/// In multi-instance mode: the peer owning `id`'s record, when that
-/// peer isn't us and the request hasn't already been forwarded once
-/// (the guard header breaks proxy loops under inconsistent configs).
-fn foreign_owner(shared: &Shared, request: &Request, id: u64) -> Option<String> {
-    let ring = shared.ring.as_ref()?;
-    if request.header("x-spur-forwarded").is_some() {
-        return None;
-    }
-    let owner_index = (id / ID_STRIDE) as usize;
-    if owner_index == shared.instance_index {
-        return None;
-    }
-    ring.peers().get(owner_index).cloned()
-}
-
-/// Forwards a GET to the owning peer verbatim, marking the hop.
-fn proxy_get(shared: &Shared, peer: &str, path: &str) -> Response {
-    shared.metrics.jobs_proxied.fetch_add(1, Ordering::Relaxed);
-    match crate::client::http_request_headers(
-        peer,
-        "GET",
-        path,
-        None,
-        &[("x-spur-forwarded", "1")],
-        shared.cfg.read_timeout,
-    ) {
-        Ok(upstream) => relay_response(upstream),
-        Err(e) => error_response_owned(502, format!("peer {peer} unreachable: {e}")),
-    }
-}
-
-/// Rebuilds a peer's response for our client: status and body
-/// verbatim, plus the one header that carries semantics (Retry-After).
-fn relay_response(upstream: crate::client::HttpResponse) -> Response {
-    let mut response = Response::json(upstream.status, upstream.text());
-    if let Some(retry) = upstream.header("retry-after") {
-        response = response.with_header("retry-after", retry.to_string());
-    }
-    response
 }
 
 /// The client identity a submission bills to: the self-declared
@@ -972,14 +846,6 @@ fn client_id(request: &Request, conn_client: &str) -> String {
         Some(name) if !name.is_empty() => name.chars().take(64).collect(),
         _ => conn_client.to_string(),
     }
-}
-
-/// Which shard an identity routes to — the same hash family the peer
-/// ring uses, reduced over the local shard count. Identical identities
-/// always land on the same shard, which is what lets the dedup map
-/// guarantee one leader per identity.
-fn shard_of(shared: &Shared, identity: &str) -> usize {
-    (crate::ring::hash64(identity.as_bytes()) % shared.queue.shard_count() as u64) as usize
 }
 
 /// The queue-backlog Retry-After: how long until the whole queue
@@ -1034,7 +900,6 @@ fn render_metrics(shared: &Shared) -> String {
     let mut out = shared.metrics.render_prometheus(
         shared.queue.depth(),
         shared.queue.bound(),
-        shared.queue.shard_count(),
         shared.cfg.cache_entries,
         shared.queue.is_draining(),
         shared.started.elapsed().as_secs(),
@@ -1087,7 +952,6 @@ fn healthz(shared: &Shared) -> Response {
             ("queue_depth", Json::UInt(shared.queue.depth() as u64)),
             ("queue_bound", Json::UInt(shared.queue.bound() as u64)),
             ("workers", Json::UInt(shared.cfg.workers as u64)),
-            ("shards", Json::UInt(shared.queue.shard_count() as u64)),
             (
                 "jobs_submitted",
                 Json::UInt(shared.metrics.jobs_submitted.load(Ordering::Relaxed)),
@@ -1118,33 +982,6 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
     let identity = spec.identity();
     let client = client_id(request, conn_client);
 
-    // Multi-instance: the identity's ring owner runs this job (and
-    // caches it — key-partitioning falls out of routing). A request
-    // that already hopped once is served locally no matter what the
-    // ring says: one guarded hop can't loop, and serving locally under
-    // an inconsistent peer config beats bouncing forever.
-    if let Some(ring) = &shared.ring {
-        if request.header("x-spur-forwarded").is_none()
-            && ring.owner_index(&identity) != shared.instance_index
-        {
-            let owner = ring.owner(&identity).to_string();
-            shared.metrics.jobs_proxied.fetch_add(1, Ordering::Relaxed);
-            return match crate::client::http_request_headers(
-                &owner,
-                "POST",
-                "/v1/jobs",
-                Some(&request.body),
-                &[("x-spur-forwarded", "1"), ("x-client-id", &client)],
-                shared.cfg.read_timeout,
-            ) {
-                Ok(upstream) => relay_response(upstream).into(),
-                Err(e) => {
-                    error_response_owned(502, format!("peer {owner} unreachable: {e}")).into()
-                }
-            };
-        }
-    }
-
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
 
     // Open the request's trace retroactively from the accept instant;
@@ -1164,20 +1001,11 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
     let parsed_us = shared.spans.now_us();
     shared.spans.end_span(parse_span, Some(parsed_us));
 
-    // Route: pick the worker shard from the identity hash.
-    let shard = shard_of(shared, &identity);
-    let route_span = shared.spans.begin_span(root, "route", Some(parsed_us), 0);
-    shared
-        .spans
-        .annotate(route_span, "shard", shard.to_string());
-    let routed_us = shared.spans.now_us();
-    shared.spans.end_span(route_span, Some(routed_us));
-
     // Cache lookup + coalesce decision, atomically against worker
     // completion (see [`Dedup`]).
     let cache_span = shared
         .spans
-        .begin_span(root, "cache_lookup", Some(routed_us), 0);
+        .begin_span(root, "cache_lookup", Some(parsed_us), 0);
     let mut dedup = lock_unpoisoned(&shared.dedup);
 
     if let Some(hit) = dedup.cache.get(&identity) {
@@ -1309,7 +1137,6 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
         },
     );
     let admission = Admission {
-        shard,
         client: client.clone(),
         priority: spec.priority(),
         cost: spec.cost(),
@@ -1358,7 +1185,7 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
                 submitted: Some(root),
             }
         }
-        Err(FairPushError::Full(_)) => {
+        Err(Refusal::Full(_)) => {
             drop(dedup);
             lock_unpoisoned(&shared.jobs).remove(&id);
             shared.spans.abandon(root.trace);
@@ -1376,7 +1203,7 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
             .with_header("retry-after", retry.to_string())
             .into()
         }
-        Err(FairPushError::ClientQuota { queued, .. }) => {
+        Err(Refusal::ClientQuota { queued, .. }) => {
             drop(dedup);
             lock_unpoisoned(&shared.jobs).remove(&id);
             shared.spans.abandon(root.trace);
@@ -1402,7 +1229,7 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
             .with_header("retry-after", retry.to_string())
             .into()
         }
-        Err(FairPushError::Draining(_)) => {
+        Err(Refusal::Draining(_)) => {
             drop(dedup);
             lock_unpoisoned(&shared.jobs).remove(&id);
             shared.spans.abandon(root.trace);
@@ -1428,7 +1255,6 @@ fn submit_scenario(
     let client = client_id(request, conn_client);
     let scenario_id = shared.next_scenario_id.fetch_add(1, Ordering::Relaxed) + 1;
     let body: Arc<Vec<u8>> = Arc::new(request.body.clone());
-    let body_hash = crate::ring::hash64(&body);
 
     // Give every cell the full per-job treatment — its own id, record,
     // and span trace — before asking the queue for room, so a rejected
@@ -1471,12 +1297,8 @@ fn submit_scenario(
                 },
             );
             // Scenario cells never coalesce or cache (identity: None)
-            // — a matrix run is explicitly "run it now". They still
-            // shard deterministically by submission + cell key so one
-            // matrix spreads across the pool.
-            let shard_key = format!("scenario:{body_hash:016x}/{}", cell.key);
+            // — a matrix run is explicitly "run it now".
             batch.push(Admission {
-                shard: shard_of(shared, &shard_key),
                 client: client.clone(),
                 priority: Priority::Normal,
                 cost: SCENARIO_CELL_COST,
@@ -1539,7 +1361,7 @@ fn submit_scenario(
             }
             drop(jobs);
             match refused {
-                FairPushError::Full(_) => {
+                Refusal::Full(_) => {
                     shared
                         .metrics
                         .jobs_rejected
@@ -1558,7 +1380,7 @@ fn submit_scenario(
                     .with_header("retry-after", retry.to_string())
                     .into()
                 }
-                FairPushError::ClientQuota { queued, .. } => {
+                Refusal::ClientQuota { queued, .. } => {
                     shared
                         .metrics
                         .jobs_rejected
@@ -1583,7 +1405,7 @@ fn submit_scenario(
                     .with_header("retry-after", retry.to_string())
                     .into()
                 }
-                FairPushError::Draining(_) => error_response(503, "draining").into(),
+                Refusal::Draining(_) => error_response(503, "draining").into(),
             }
         }
     }

@@ -10,12 +10,17 @@ use spur_serve::{ServeConfig, Server};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
-/// A deliberately heavy cell that pins the single worker long enough
-/// for the coalescing window to be deterministic, under a different
-/// experiment family so its `run` histogram row never pollutes the
-/// target's.
-const BLOCKER: &str = r#"{"experiment":"events","workload":"SLC","mem_mb":5,
-    "scale":{"refs":400000,"seed":7,"reps":2},"obs":false}"#;
+/// A deliberately heavy cell that pins one worker long enough for the
+/// coalescing window to be deterministic, under a different experiment
+/// family so its `run` histogram row never pollutes the target's. Each
+/// `seed` is a distinct identity, so blockers never coalesce with one
+/// another.
+fn blocker(seed: u64) -> String {
+    format!(
+        r#"{{"experiment":"events","workload":"SLC","mem_mb":5,
+        "scale":{{"refs":400000,"seed":{seed},"reps":2}},"obs":false}}"#
+    )
+}
 
 /// The spec every racer submits — full identity equality.
 const TARGET: &str = r#"{"experiment":"refbit","workload":"SLC","mem_mb":5,"policy":"MISS",
@@ -73,11 +78,24 @@ fn metric(addr: &str, name: &str) -> u64 {
 
 #[test]
 fn identical_inflight_submissions_coalesce_onto_one_run() {
+    coalesce_onto_one_run(1);
+}
+
+/// Every worker pops from the same queue, so the one global in-flight
+/// map is all that keeps a second worker from running a duplicate.
+#[test]
+fn identical_inflight_submissions_coalesce_across_workers() {
+    coalesce_onto_one_run(2);
+}
+
+/// Pins all `workers` with blockers, then submits a leader and its
+/// followers while the leader is still queued: the identity must run
+/// exactly once and every follower must receive the leader's bytes.
+fn coalesce_onto_one_run(workers: usize) {
     const FOLLOWERS: usize = 6;
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        workers: 1,
-        shards: 1,
+        workers,
         queue_bound: 32,
         read_timeout: TIMEOUT,
         write_timeout: TIMEOUT,
@@ -86,11 +104,15 @@ fn identical_inflight_submissions_coalesce_onto_one_run() {
     .unwrap();
     let addr = server.addr().to_string();
 
-    // Pin the only worker, then wait until it has actually started so
-    // the leader below is guaranteed to still be queued when the
-    // followers arrive.
-    let blocker_id = uint(&submit_json(&addr, BLOCKER), "id");
-    await_status(&addr, blocker_id, "running");
+    // Pin every worker, then wait until each blocker has actually
+    // started so the leader below is guaranteed to still be queued
+    // when the followers arrive.
+    let blocker_ids: Vec<u64> = (0..workers as u64)
+        .map(|i| uint(&submit_json(&addr, &blocker(7 + i)), "id"))
+        .collect();
+    for &id in &blocker_ids {
+        await_status(&addr, id, "running");
+    }
 
     let leader = submit_json(&addr, TARGET);
     let leader_id = uint(&leader, "id");
@@ -152,7 +174,7 @@ fn identical_inflight_submissions_coalesce_onto_one_run() {
     }
 
     let summary = server.shutdown();
-    // Blocker + leader simulated; followers completed logically.
+    // Blockers + leader simulated; followers completed logically.
     assert_eq!(summary.failed, 0, "{summary:?}");
 }
 
@@ -161,7 +183,6 @@ fn different_specs_never_coalesce() {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
-        shards: 1,
         queue_bound: 32,
         read_timeout: TIMEOUT,
         write_timeout: TIMEOUT,
@@ -170,7 +191,7 @@ fn different_specs_never_coalesce() {
     .unwrap();
     let addr = server.addr().to_string();
 
-    let blocker_id = uint(&submit_json(&addr, BLOCKER), "id");
+    let blocker_id = uint(&submit_json(&addr, &blocker(7)), "id");
     await_status(&addr, blocker_id, "running");
 
     // Same harness key, different seed — the identity (not the key)

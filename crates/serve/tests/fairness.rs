@@ -78,7 +78,6 @@ fn greedy_client_hits_its_quota_while_the_polite_client_is_unaffected() {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
-        shards: 1,
         // Plenty of global room: every shed below is the *quota*
         // refusing the offender, never the queue being full.
         queue_bound: 64,

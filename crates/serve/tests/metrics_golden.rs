@@ -41,7 +41,6 @@ fn canned_metrics() -> ServeMetrics {
     m.cache_misses.store(6, Ordering::Relaxed);
     m.cache_evictions.store(1, Ordering::Relaxed);
     m.quota_rejected.store(1, Ordering::Relaxed);
-    m.jobs_proxied.store(2, Ordering::Relaxed);
     m.observe_submit(0);
     m.observe_submit(2);
     m.observe_phases("refbit", sample(0, 40, 1, true));
@@ -54,7 +53,7 @@ fn canned_metrics() -> ServeMetrics {
 #[test]
 fn metrics_exposition_matches_the_golden_file() {
     // Uptime is pinned: the golden file is byte-exact.
-    let rendered = canned_metrics().render_prometheus(2, 64, 4, 128, false, 123);
+    let rendered = canned_metrics().render_prometheus(2, 64, 128, false, 123);
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics.prom");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(golden_path, &rendered).unwrap();

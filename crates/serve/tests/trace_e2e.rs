@@ -111,7 +111,6 @@ fn trace_endpoint_returns_a_reconciling_span_tree() {
     let contiguous: u64 = [
         "accept",
         "parse",
-        "route",
         "cache_lookup",
         "queue_wait",
         "run",
