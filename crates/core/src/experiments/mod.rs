@@ -9,7 +9,7 @@
 //! | Footnote 3 model | [`overhead::model_vs_measured`] |
 //!
 //! Every runner takes a [`Scale`] so the same code serves quick CI runs,
-//! criterion benches, and full regenerations.
+//! the benchmark, and full regenerations.
 
 pub mod ablation;
 pub mod crossover;
@@ -50,7 +50,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Quick smoke-test scale (CI, criterion benches).
+    /// Quick smoke-test scale (CI, tests).
     pub const fn quick() -> Self {
         Scale {
             refs: 1_500_000,

@@ -169,7 +169,8 @@ impl RecordedTrace {
     ///
     /// Returns [`Error::BadWorkload`] on a bad magic number, truncated
     /// header, or if the payload does not decode to exactly the declared
-    /// record count.
+    /// record count — no fewer records, and no bytes left over after
+    /// the last one.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
         if data.len() < 16 || &data[..8] != MAGIC {
             return Err(Error::BadWorkload("not a SPUR trace".to_string()));
@@ -180,13 +181,17 @@ impl RecordedTrace {
             count,
         };
         // Validate by walking the records.
-        let mut n = 0u64;
-        for _ in trace.iter() {
-            n += 1;
-        }
+        let mut records = trace.iter();
+        let n = records.by_ref().count() as u64;
         if n != count {
             return Err(Error::BadWorkload(format!(
                 "trace declares {count} records but decodes {n}"
+            )));
+        }
+        let trailing = trace.bytes.len() - records.pos;
+        if trailing != 0 {
+            return Err(Error::BadWorkload(format!(
+                "trace has {trailing} bytes after its {count} declared records"
             )));
         }
         Ok(trace)

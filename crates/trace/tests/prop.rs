@@ -5,7 +5,7 @@
 use spur_trace::record::RecordedTrace;
 use spur_trace::stream::{Pid, TraceRef};
 use spur_types::rng::SmallRng;
-use spur_types::{AccessKind, GlobalAddr};
+use spur_types::{AccessKind, Error, GlobalAddr};
 
 fn arb_ref(rng: &mut SmallRng) -> TraceRef {
     let pid = rng.random_range(0u32..8);
@@ -66,7 +66,9 @@ fn sequential_streams_encode_tightly() {
     }
 }
 
-/// Corrupting the count field never panics — it errors.
+/// Corrupting the count field, in either direction, or appending bytes
+/// after the last record never panics and never silently drops records
+/// — it errors.
 #[test]
 fn corrupted_count_is_detected() {
     let mut rng = SmallRng::seed_from_u64(0x7ace_0003);
@@ -78,12 +80,21 @@ fn corrupted_count_is_detected() {
         })
         .collect();
     let trace = RecordedTrace::record(refs);
+    let rejected =
+        |bytes: &[u8]| matches!(RecordedTrace::from_bytes(bytes), Err(Error::BadWorkload(_)));
     for _ in 0..64 {
-        let extra = rng.random_range(1u64..1000);
+        let over = 50u64 + rng.random_range(1u64..1000);
+        let under = rng.random_range(0u64..50);
+        for bad_count in [over, under] {
+            let mut bytes = trace.to_bytes();
+            bytes[8..16].copy_from_slice(&bad_count.to_le_bytes());
+            assert!(rejected(&bytes), "declared {bad_count} of 50 records");
+        }
+
         let mut bytes = trace.to_bytes();
-        let bad_count = 50u64 + extra;
-        bytes[8..16].copy_from_slice(&bad_count.to_le_bytes());
-        assert!(RecordedTrace::from_bytes(&bytes).is_err());
+        let garbage = rng.random_range(1usize..16);
+        bytes.extend((0..garbage).map(|_| rng.random_range(0u8..=255)));
+        assert!(rejected(&bytes), "{garbage} trailing bytes");
     }
 }
 
